@@ -771,11 +771,7 @@ impl ClusterBuilder {
                 rack_params.floorplan.scale_core(n, s.thermal_weight);
             }
         }
-        // One env var (`SPRINT_SOLVER_THREADS`) sweeps every cluster's
-        // ADI lane count; threaded sweeps are byte-identical to serial,
-        // so this is a pure wall-clock knob (and the CI determinism
-        // matrix relies on exactly that).
-        let rack = RackThermal::new(rack_params.with_env_solver_threads().build());
+        let rack = RackThermal::new(rack_params.build());
         let nodes_n = rack.nodes();
         // Weighted nameplate cuts for a heterogeneous fleet; the unit-
         // weight cut is bitwise `cap / nodes`, so a homogeneous spec
@@ -1368,8 +1364,9 @@ impl ClusterSession {
             .is_some_and(|p| p.response == FaultResponse::Aware)
     }
 
-    /// Fraction of the fleet not quarantined, in `(0, 1]` — the
-    /// degradation signal a facility tier re-deals the feed by.
+    /// Fraction of the fleet not quarantined, in `[0, 1]` (a fault plan
+    /// can quarantine every node) — the degradation signal a facility
+    /// tier re-deals the feed by.
     pub fn alive_fraction(&self) -> f64 {
         let quarantined = self.node_quarantined.iter().filter(|&&q| q).count();
         (self.nodes.len() - quarantined) as f64 / self.nodes.len() as f64

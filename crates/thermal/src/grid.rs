@@ -56,43 +56,24 @@
 //!   rack-scale floorplans; its traces are deterministic but *not*
 //!   bit-identical to the explicit solver's.
 //!
-//! ## Batched and threaded sweeps
+//! ## Batched sweeps
 //!
 //! The ADI sweeps are hundreds of *independent* tridiagonal lines per
-//! sub-step (one per row, column and vertical cell stack), and the
-//! engine exploits that on two axes:
+//! sub-step (one per row, column and vertical cell stack). Lines of a
+//! sweep are solved as lanes of one structure-of-arrays pass
+//! ([`crate::tridiag`]'s `solve_batch` / `solve_planar`): the Thomas
+//! recurrence is a serially-dependent chain *within* a line, but lanes
+//! are independent, so laying lines side by side turns the
+//! latency-bound per-line chain into unit-stride inner loops the
+//! auto-vectorizer chews whole `f64` lanes at a time. Every lane
+//! performs the per-line arithmetic in the per-line order, so batched
+//! sweeps are bit-identical to line-at-a-time sweeps (pinned by the
+//! tridiag property tests and the in-module reference-equivalence
+//! tests).
 //!
-//! * **Batching (always on).** Lines of a sweep are solved as lanes of
-//!   one structure-of-arrays pass ([`crate::tridiag`]'s `solve_batch` /
-//!   `solve_planar`): the Thomas recurrence is a serially-dependent
-//!   chain *within* a line, but lanes are independent, so laying lines
-//!   side by side turns the latency-bound per-line chain into
-//!   unit-stride inner loops the auto-vectorizer chews whole `f64`
-//!   lanes at a time. Every lane performs the per-line arithmetic in
-//!   the per-line order, so batched sweeps are bit-identical to
-//!   line-at-a-time sweeps (pinned by the tridiag property tests and
-//!   the in-module reference-equivalence tests).
-//!
-//! * **Threading ([`GridThermalParams::solver_threads`], default 1).**
-//!   On a PCM-free grid (the rack/facility scale case) the sweep lines
-//!   and the per-cell operator evaluation fan out across a small
-//!   persistent worker pool ([`crate::pool::SolverPool`]). Determinism
-//!   rules: the line→lane assignment is a fixed pure function of the
-//!   counts, concurrent writes land in lane-disjoint cells, and the one
-//!   cross-line reduction (`boundary_absorbed_j`) is re-accumulated by
-//!   the caller in ascending cell order — so traces are **byte-identical
-//!   at 1, 2 or 8 threads** and to the serial engine
-//!   (`tests/grid_threads.rs` pins it). `solver_threads: 1` runs
-//!   today's serial code path untouched. Grids *with* PCM integrate
-//!   serially regardless (still batched): the phase-state relineariza-
-//!   tion is per-sub-step and cheap next to the sweeps it gates.
-//!   Guidance: threads only pay where a sweep has enough lines to
-//!   amortize two condvar round-trips per region — rack grids (32x32
-//!   and up) benefit; die-scale grids (16x16 and below) should stay
-//!   single-threaded. The `SPRINT_SOLVER_THREADS` env var overrides
-//!   the builder default via
-//!   [`GridThermalParams::with_env_solver_threads`] (the
-//!   cluster/facility builders and examples apply it).
+//! Sweeps run serially on the calling thread. Parallelism lives one
+//! level up: a facility's worker shards advance whole racks
+//! concurrently.
 //!
 //! ## Automatic explicit fallback
 //!
@@ -107,13 +88,10 @@
 //! the same invariants. Disable it to pin the ADI path itself (as the
 //! solver-equivalence tests do).
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use crate::floorplan::Floorplan;
 use crate::phone::PhoneThermalParams;
-use crate::pool::{lane_range, SolverPool};
 use crate::tridiag::{Tridiag, TridiagFactor};
 
 /// Integration scheme for a [`GridThermal`] backend. See the
@@ -256,12 +234,6 @@ pub struct GridThermalParams {
     pub stability_fraction: f64,
     /// Integration scheme (see the module docs' "Choosing a solver").
     pub solver: GridSolver,
-    /// Execution lanes for the ADI sweeps on PCM-free grids: 1 (the
-    /// default) is the serial engine; `k > 1` fans sweep lines across a
-    /// persistent `k`-lane [`SolverPool`] with byte-identical results
-    /// at any lane count (see the module docs' "Batched and threaded
-    /// sweeps"). Ignored by the explicit solver and on grids with PCM.
-    pub solver_threads: usize,
     /// Let a window whose explicit sub-step count is within
     /// [`ADI_FALLBACK_COST_RATIO`]x of its ADI sub-step count integrate
     /// explicitly even under [`GridSolver::Adi`] (on by default; see
@@ -317,7 +289,6 @@ impl GridThermalParams {
             r_sink_ambient_k_per_w: 1.0,
             stability_fraction: 0.2,
             solver: GridSolver::Explicit,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -378,7 +349,6 @@ impl GridThermalParams {
             // against the exactly-integrated lumped reference.
             stability_fraction: 0.05,
             solver: GridSolver::Explicit,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -451,7 +421,6 @@ impl GridThermalParams {
             r_sink_ambient_k_per_w: r_sink,
             stability_fraction: 0.2,
             solver: GridSolver::Adi,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -475,42 +444,10 @@ impl GridThermalParams {
         self
     }
 
-    /// Sets the ADI sweep lane count (builder style); see
-    /// [`Self::solver_threads`]. Results are byte-identical at any
-    /// count, so this is purely a wall-clock knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "solver needs at least one lane");
-        self.solver_threads = threads;
-        self
-    }
-
     /// Enables or disables the automatic explicit fallback for cheap
     /// windows (builder style); see [`Self::adi_explicit_fallback`].
     pub fn with_adi_fallback(mut self, enabled: bool) -> Self {
         self.adi_explicit_fallback = enabled;
-        self
-    }
-
-    /// Applies the `SPRINT_SOLVER_THREADS` environment override to the
-    /// lane count, if set and parseable as a positive integer (builder
-    /// style). The cluster/facility builders and the examples route
-    /// through this, so one env var sweeps a whole stack's solvers —
-    /// and because threaded results are byte-identical, CI can run the
-    /// same test suite at 1/2/8 threads as a determinism pin. Not
-    /// applied inside [`Self::build`]: tests comparing explicit lane
-    /// counts must stay meaningful under the CI matrix.
-    pub fn with_env_solver_threads(mut self) -> Self {
-        if let Ok(v) = std::env::var("SPRINT_SOLVER_THREADS") {
-            if let Ok(threads) = v.trim().parse::<usize>() {
-                if threads >= 1 {
-                    self.solver_threads = threads;
-                }
-            }
-        }
         self
     }
 
@@ -561,7 +498,6 @@ impl GridThermalParams {
             self.stability_fraction > 0.0 && self.stability_fraction <= 0.5,
             "stability fraction must be in (0, 0.5]"
         );
-        assert!(self.solver_threads >= 1, "solver needs at least one lane");
         for layer in &self.layers {
             layer.validate();
             if let Some(pc) = &layer.phase_change {
@@ -610,40 +546,6 @@ const ADI_THETA: f64 = 0.55;
 /// the perfbench window is ratio 11, a 16x16 is ratio 41). The
 /// crossover is pinned by `tests/grid_adi.rs`.
 pub const ADI_FALLBACK_COST_RATIO: f64 = 5.0;
-
-/// The sweep pool a grid integrates through when
-/// [`GridThermalParams::solver_threads`] exceeds 1 — created lazily on
-/// first use, or shared across backends via
-/// [`GridThermal::install_solver_pool`] (the facility installs one pool
-/// per worker shard so a single pool services every rack the shard
-/// owns). A runtime resource, not model state: clones share the pool,
-/// comparisons ignore it, and (de)serialization drops it (the lazy
-/// rebuild restores it on the next threaded `advance`).
-#[derive(Default, Serialize, Deserialize)]
-struct PoolHandle(#[serde(skip)] Option<Arc<SolverPool>>);
-
-impl Clone for PoolHandle {
-    fn clone(&self) -> Self {
-        PoolHandle(self.0.clone())
-    }
-}
-
-impl PartialEq for PoolHandle {
-    fn eq(&self, _other: &Self) -> bool {
-        // The pool never influences results (byte-identical at any lane
-        // count), so two grids differing only in pool wiring are equal.
-        true
-    }
-}
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(pool) => write!(f, "PoolHandle({} lanes)", pool.lanes()),
-            None => write!(f, "PoolHandle(none)"),
-        }
-    }
-}
 
 /// A conductance edge between two cells.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -772,14 +674,8 @@ pub struct GridThermal {
     adi_bat_rhs: Vec<f64>,
     /// Staging scratch for [`TridiagFactor::solve_batch`] row bundles.
     adi_batch_scratch: Vec<f64>,
-    /// Per-last-layer-cell sink flows from a threaded region, reduced
-    /// into `boundary_absorbed_j` by the main thread in ascending cell
-    /// order (the serial accumulation order).
-    adi_sink_q: Vec<f64>,
     tridiag: Tridiag,
     adi_cache: AdiCoeffCache,
-    /// The sweep pool for `solver_threads > 1`; see [`PoolHandle`].
-    pool: PoolHandle,
 }
 
 impl GridThermal {
@@ -982,10 +878,8 @@ impl GridThermal {
             adi_bat_sup: vec![0.0; n],
             adi_bat_rhs: vec![0.0; n],
             adi_batch_scratch: Vec::new(),
-            adi_sink_q: vec![0.0; cells],
             tridiag: Tridiag::with_capacity(line_max),
             adi_cache: AdiCoeffCache::default(),
-            pool: PoolHandle::default(),
             params,
         };
         grid.reset_to_ambient();
@@ -1022,32 +916,6 @@ impl GridThermal {
     /// The integration scheme this backend steps with.
     pub fn solver(&self) -> GridSolver {
         self.params.solver
-    }
-
-    /// Execution lanes the ADI sweeps fan across (1 = serial engine).
-    pub fn solver_threads(&self) -> usize {
-        self.params.solver_threads
-    }
-
-    /// Installs a shared sweep pool, replacing any lazily-created one.
-    /// This is the cross-rack batch seam: a facility worker shard
-    /// creates one pool and installs it into every rack it owns, so a
-    /// single set of parked workers services every rack's sweeps in
-    /// turn instead of each rack spawning its own. The pool's lane
-    /// count may exceed this grid's `solver_threads` (it is sized for
-    /// the widest rack in the shard); results are byte-identical at any
-    /// lane count, so sharing cannot perturb a trace.
-    pub fn install_solver_pool(&mut self, pool: Arc<SolverPool>) {
-        self.pool = PoolHandle(Some(pool));
-    }
-
-    /// The pool threaded advances run through, creating it on first use
-    /// when `solver_threads > 1` and none was installed.
-    fn ensure_pool(&mut self) -> Arc<SolverPool> {
-        if self.pool.0.is_none() {
-            self.pool = PoolHandle(Some(Arc::new(SolverPool::new(self.params.solver_threads))));
-        }
-        self.pool.0.clone().expect("pool just ensured")
     }
 
     /// The scheme a window of `dt_s` seconds actually integrates with:
@@ -1469,24 +1337,9 @@ impl GridThermal {
                     }
                 }
                 GridSolver::Adi => {
-                    // Threading applies to the PCM-free linear engine
-                    // (the rack/facility scale case); PCM grids batch
-                    // but integrate serially.
-                    let pool = (self.params.solver_threads > 1 && self.pcm_cells.is_empty())
-                        .then(|| self.ensure_pool());
-                    match pool {
-                        Some(pool) => {
-                            for _ in 0..steps {
-                                self.adi_step_linear_threaded(sub, &pool);
-                                self.time_s += sub;
-                            }
-                        }
-                        None => {
-                            for _ in 0..steps {
-                                self.adi_step(sub);
-                                self.time_s += sub;
-                            }
-                        }
+                    for _ in 0..steps {
+                        self.adi_step(sub);
+                        self.time_s += sub;
                     }
                 }
             }
@@ -2280,289 +2133,6 @@ impl GridThermal {
         }
     }
 
-    /// One linear ADI sub-step with every region fanned across the
-    /// worker pool. Bit-identical to [`Self::adi_step_linear`] at any
-    /// lane count (pinned by `tests/grid_threads.rs`), by construction:
-    ///
-    /// - every parallel region partitions its index space with
-    ///   [`lane_range`], so each lane writes a fixed, disjoint set of
-    ///   cells (rows, x-columns, or cell stacks own all the cells they
-    ///   update — sweep corrections never cross a line);
-    /// - the per-cell explicit gather replays the serial edge-scan's
-    ///   accumulation order exactly (power, vertical-in, y-in, x-in,
-    ///   x-out, y-out, vertical-out, sink — including the `±0.0`
-    ///   contributions of zero-conductance lateral edges the serial
-    ///   edge list still carries);
-    /// - Thomas recurrences replay the cached factor per line in the
-    ///   line's own order, which is the same arithmetic
-    ///   [`TridiagFactor::solve_batch`] / `solve_planar` perform lane
-    ///   by lane;
-    /// - the only cross-line reduction, `boundary_absorbed_j`, is
-    ///   staged into the per-cell `adi_sink_q` scratch and accumulated
-    ///   by the calling thread in ascending cell order — the serial
-    ///   sink loop's exact add sequence.
-    fn adi_step_linear_threaded(&mut self, dt: f64, pool: &SolverPool) {
-        let lanes = pool.lanes();
-        let n = self.enthalpy_j.len();
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let cells = self.cells_per_layer;
-        let layers = self.params.layers.len();
-        let wdt = ADI_THETA * dt;
-        self.ensure_adi_cache(wdt);
-        let cache = std::mem::take(&mut self.adi_cache);
-
-        // Region 1: enthalpy -> temperature, cell-partitioned.
-        {
-            let temps = RawCells(self.scratch_temps.as_mut_ptr());
-            let h = &self.enthalpy_j[..];
-            let c = &self.capacity_j_per_k[..];
-            pool.run(&|lane| {
-                for i in lane_range(n, lane, lanes) {
-                    // Safety: lanes own disjoint index ranges.
-                    unsafe { temps.set(i, h[i] / c[i]) };
-                }
-            });
-        }
-
-        // Region 2: explicit full-operator gather, enthalpy kick and
-        // RHS, cell-partitioned; sink heat staged per cell.
-        {
-            let temps = &self.scratch_temps[..];
-            let power = &self.power_w[..];
-            let lat_gx = &self.lat_gx[..];
-            let lat_gy = &self.lat_gy[..];
-            let g_vert = &self.g_vert[..];
-            let g_sink = self.g_sink_cell;
-            let ambient = self.params.ambient_c;
-            let h = RawCells(self.enthalpy_j.as_mut_ptr());
-            let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-            let sink_q = RawCells(self.adi_sink_q.as_mut_ptr());
-            pool.run(&|lane| {
-                for i in lane_range(n, lane, lanes) {
-                    let li = i / cells;
-                    let c = i - li * cells;
-                    let y = c / nx;
-                    let x = c - y * nx;
-                    let t = temps[i];
-                    let mut f = power[i];
-                    if li > 0 {
-                        f += (temps[i - cells] - t) * g_vert[li - 1];
-                    }
-                    let (gx, gy) = (lat_gx[li], lat_gy[li]);
-                    if gx > 0.0 || gy > 0.0 {
-                        // The serial edge list emits both axes whenever
-                        // the layer conducts laterally at all, so a
-                        // zero-g axis still contributes its +/-0.0.
-                        if y > 0 {
-                            f += (temps[i - nx] - t) * gy;
-                        }
-                        if x > 0 {
-                            f += (temps[i - 1] - t) * gx;
-                        }
-                        if x + 1 < nx {
-                            f -= (t - temps[i + 1]) * gx;
-                        }
-                        if y + 1 < ny {
-                            f -= (t - temps[i + nx]) * gy;
-                        }
-                    }
-                    if li + 1 < layers {
-                        f -= (t - temps[i + cells]) * g_vert[li];
-                    }
-                    if li + 1 == layers {
-                        let q = (t - ambient) * g_sink;
-                        f -= q;
-                        // Safety: `c` ranges over disjoint lane-owned
-                        // last-layer cells.
-                        unsafe { sink_q.set(c, q) };
-                    }
-                    let e = f * dt;
-                    // Safety: lane-owned index.
-                    unsafe {
-                        h.set(i, h.get(i) + e);
-                        rhs.set(i, e);
-                    }
-                }
-            });
-            for c in 0..cells {
-                self.boundary_absorbed_j += self.adi_sink_q[c] * dt;
-            }
-        }
-
-        // Region 3 (per conducting layer): row sweeps, row-partitioned.
-        if nx > 1 {
-            for li in 0..layers {
-                let g = self.lat_gx[li];
-                if g <= 0.0 {
-                    continue;
-                }
-                let f = cache.rows[li]
-                    .as_ref()
-                    .expect("PCM-free conducting layer always has a row factor");
-                let (fsub, fcp, fm) = f.parts();
-                let base = li * cells;
-                let gdt = g * wdt;
-                let caps = &self.capacity_j_per_k[..];
-                let h = RawCells(self.enthalpy_j.as_mut_ptr());
-                let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-                let plane = RawCells(self.adi_plane.as_mut_ptr());
-                pool.run(&|lane| {
-                    // Safety: every index below lives in this lane's
-                    // rows, which no other lane touches.
-                    for yy in lane_range(ny, lane, lanes) {
-                        let row = base + yy * nx;
-                        unsafe {
-                            plane.set(row, rhs.get(row) * fm[0]);
-                            for k in 1..nx {
-                                let w =
-                                    (rhs.get(row + k) - fsub[k] * plane.get(row + k - 1)) * fm[k];
-                                plane.set(row + k, w);
-                            }
-                            for k in (0..nx - 1).rev() {
-                                plane.set(
-                                    row + k,
-                                    plane.get(row + k) - fcp[k] * plane.get(row + k + 1),
-                                );
-                            }
-                            for k in 0..nx - 1 {
-                                let q = (plane.get(row + k) - plane.get(row + k + 1)) * gdt;
-                                h.set(row + k, h.get(row + k) - q);
-                                h.set(row + k + 1, h.get(row + k + 1) + q);
-                            }
-                            for k in 0..nx {
-                                rhs.set(row + k, caps[row + k] * plane.get(row + k));
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Region 4 (per conducting layer): column sweeps, partitioned
-        // by x so each lane owns whole columns.
-        if ny > 1 {
-            for li in 0..layers {
-                let g = self.lat_gy[li];
-                if g <= 0.0 {
-                    continue;
-                }
-                let f = cache.cols[li]
-                    .as_ref()
-                    .expect("PCM-free conducting layer always has a column factor");
-                let (fsub, fcp, fm) = f.parts();
-                let base = li * cells;
-                let gdt = g * wdt;
-                let caps = &self.capacity_j_per_k[..];
-                let h = RawCells(self.enthalpy_j.as_mut_ptr());
-                let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-                let plane = RawCells(self.adi_plane.as_mut_ptr());
-                pool.run(&|lane| {
-                    let xr = lane_range(nx, lane, lanes);
-                    // Safety: every index below is in a lane-owned
-                    // column (fixed x); corrections stay in-column.
-                    unsafe {
-                        for x in xr.clone() {
-                            plane.set(x, rhs.get(base + x) * fm[0]);
-                        }
-                        for y in 1..ny {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                let w = (rhs.get(base + row + x)
-                                    - fsub[y] * plane.get(row - nx + x))
-                                    * fm[y];
-                                plane.set(row + x, w);
-                            }
-                        }
-                        for y in (0..ny - 1).rev() {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                plane.set(
-                                    row + x,
-                                    plane.get(row + x) - fcp[y] * plane.get(row + nx + x),
-                                );
-                            }
-                        }
-                        for y in 0..ny - 1 {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                let q = (plane.get(row + x) - plane.get(row + nx + x)) * gdt;
-                                h.set(base + row + x, h.get(base + row + x) - q);
-                                h.set(base + row + nx + x, h.get(base + row + nx + x) + q);
-                            }
-                        }
-                        for y in 0..ny {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                rhs.set(base + row + x, caps[base + row + x] * plane.get(row + x));
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Region 5: stack sweep, partitioned by cell column; sink heat
-        // staged per cell and reduced in ascending order below.
-        {
-            let f = cache
-                .stack
-                .as_ref()
-                .expect("PCM-free grid always has a stack factor");
-            let (fsub, fcp, fm) = f.parts();
-            let g_sink = self.g_sink_cell;
-            let g_vert = &self.g_vert[..];
-            let h = RawCells(self.enthalpy_j.as_mut_ptr());
-            let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-            let plane = RawCells(self.adi_plane.as_mut_ptr());
-            let sink_q = RawCells(self.adi_sink_q.as_mut_ptr());
-            pool.run(&|lane| {
-                let cr = lane_range(cells, lane, lanes);
-                // Safety: every index below is in a lane-owned vertical
-                // stack (fixed cell column).
-                unsafe {
-                    for c in cr.clone() {
-                        plane.set(c, rhs.get(c) * fm[0]);
-                    }
-                    for l in 1..layers {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            let w =
-                                (rhs.get(row + c) - fsub[l] * plane.get(row - cells + c)) * fm[l];
-                            plane.set(row + c, w);
-                        }
-                    }
-                    for l in (0..layers - 1).rev() {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            plane.set(
-                                row + c,
-                                plane.get(row + c) - fcp[l] * plane.get(row + cells + c),
-                            );
-                        }
-                    }
-                    for (l, &gv) in g_vert.iter().enumerate().take(layers - 1) {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            let q = (plane.get(row + c) - plane.get(row + cells + c)) * gv * wdt;
-                            h.set(row + c, h.get(row + c) - q);
-                            h.set(row + cells + c, h.get(row + cells + c) + q);
-                        }
-                    }
-                    let row = (layers - 1) * cells;
-                    for c in cr {
-                        let q_sink = plane.get(row + c) * g_sink * wdt;
-                        h.set(row + c, h.get(row + c) - q_sink);
-                        sink_q.set(c, q_sink);
-                    }
-                }
-            });
-            for c in 0..cells {
-                self.boundary_absorbed_j += self.adi_sink_q[c];
-            }
-        }
-        self.adi_cache = cache;
-    }
-
     fn track_peaks(&mut self) {
         // One die scan refreshes both the gradient tracker and the
         // junction cache: `hi` is exactly the fold `junction_temp_c`
@@ -2582,34 +2152,6 @@ impl GridThermal {
                 self.peak_core_temps_c[core] = t;
             }
         }
-    }
-}
-
-/// A raw view of a cell array that the threaded sweep regions share.
-/// `&mut`-free so the region closure can be `Fn + Sync`; soundness
-/// comes from the sweep's partitioning discipline — every lane reads
-/// and writes only indices in its own [`lane_range`] (or its own rows/
-/// columns/stacks), so no two lanes ever touch the same element within
-/// a region, and [`SolverPool::run`] is a full barrier between regions.
-struct RawCells(*mut f64);
-
-unsafe impl Send for RawCells {}
-unsafe impl Sync for RawCells {}
-
-impl RawCells {
-    /// # Safety
-    /// `i` must be in bounds and, within a pool region, owned by the
-    /// calling lane (no lane reads an element another lane writes).
-    #[inline]
-    unsafe fn get(&self, i: usize) -> f64 {
-        *self.0.add(i)
-    }
-
-    /// # Safety
-    /// Same contract as [`Self::get`].
-    #[inline]
-    unsafe fn set(&self, i: usize, v: f64) {
-        *self.0.add(i) = v;
     }
 }
 

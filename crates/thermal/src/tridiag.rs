@@ -322,16 +322,6 @@ impl TridiagFactor {
             }
         }
     }
-
-    /// The factorization's raw parts `(sub, cp, m)` — the sub-diagonal,
-    /// modified super-diagonal and pivot reciprocals — for callers that
-    /// replay the [`Self::solve_planar`] recurrences over a *subrange*
-    /// of lanes (the threaded ADI sweeps partition a planar solve by
-    /// lane ranges; each lane's arithmetic is unchanged, so the split is
-    /// bit-identical to the whole-plane call).
-    pub(crate) fn parts(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.sub, &self.cp, &self.m)
-    }
 }
 
 #[cfg(test)]
