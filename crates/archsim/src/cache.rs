@@ -4,6 +4,10 @@
 //! numbers; a line's coherence state lives with it. The directory (in
 //! [`crate::llc`]) drives invalidations and downgrades by calling directly
 //! into the owning core's L1.
+//!
+//! Every table is a primitive `vec![0; n]`: state `0` is
+//! [`LineState::Invalid`] and an invalid way's tag is never read, so an
+//! empty cache needs no initial writes.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,16 +15,32 @@ use crate::config::CacheConfig;
 
 /// MESI state of an L1 line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum LineState {
     /// Invalid (way empty).
-    Invalid,
+    Invalid = 0,
     /// Shared, clean, possibly in other caches.
-    Shared,
+    Shared = 1,
     /// Exclusive, clean, only copy.
-    Exclusive,
+    Exclusive = 2,
     /// Modified, dirty, only copy.
-    Modified,
+    Modified = 3,
 }
+
+impl LineState {
+    /// Decodes a stored state byte (`self as u8` round-trips).
+    #[inline]
+    fn from_bits(bits: u8) -> Self {
+        match bits {
+            0 => LineState::Invalid,
+            1 => LineState::Shared,
+            2 => LineState::Exclusive,
+            _ => LineState::Modified,
+        }
+    }
+}
+
+const INVALID: u8 = LineState::Invalid as u8;
 
 /// A victim line evicted to make room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +54,12 @@ pub struct Evicted {
 /// A private set-associative L1 cache model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct L1Cache {
-    sets: usize,
     ways: usize,
     set_mask: u64,
+    /// Per-way line number; read only while the way is valid.
     tags: Vec<u64>,
-    states: Vec<LineState>,
+    /// Per-way [`LineState`] as `u8`; zero is `Invalid`.
+    states: Vec<u8>,
     /// Per-way last-use stamps for LRU (monotone counter).
     stamps: Vec<u64>,
     tick: u64,
@@ -48,52 +69,42 @@ impl L1Cache {
     /// Builds an empty cache with the given geometry.
     pub fn new(cfg: &CacheConfig) -> Self {
         cfg.validate();
-        let sets = cfg.sets();
+        let slots = cfg.sets() * cfg.ways;
         Self {
-            sets,
             ways: cfg.ways,
-            set_mask: sets as u64 - 1,
-            tags: vec![u64::MAX; sets * cfg.ways],
-            states: vec![LineState::Invalid; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
+            set_mask: cfg.sets() as u64 - 1,
+            tags: vec![0; slots],
+            states: vec![INVALID; slots],
+            stamps: vec![0; slots],
             tick: 0,
         }
     }
 
+    /// First slot of `line`'s set.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    fn set_base(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.ways
     }
 
+    /// The slot holding `line`, if it is resident.
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.set_base(line);
+        (base..base + self.ways).find(|&s| self.tags[s] == line && self.states[s] != INVALID)
     }
 
     /// Looks up a line, updating LRU on hit. Returns its state if present.
     pub fn lookup(&mut self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                self.tick += 1;
-                self.stamps[s] = self.tick;
-                return Some(self.states[s]);
-            }
-        }
-        None
+        let s = self.find(line)?;
+        self.tick += 1;
+        self.stamps[s] = self.tick;
+        Some(LineState::from_bits(self.states[s]))
     }
 
     /// Returns the state without touching LRU (for directory probes).
     pub fn probe(&self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                return Some(self.states[s]);
-            }
-        }
-        None
+        self.find(line)
+            .map(|s| LineState::from_bits(self.states[s]))
     }
 
     /// Sets the state of a resident line.
@@ -102,103 +113,75 @@ impl L1Cache {
     ///
     /// Panics if the line is not resident.
     pub fn set_state(&mut self, line: u64, state: LineState) {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                self.states[s] = state;
-                return;
-            }
-        }
-        panic!("set_state on non-resident line {line:#x}");
+        let s = self
+            .find(line)
+            .unwrap_or_else(|| panic!("set_state on non-resident line {line:#x}"));
+        self.states[s] = state as u8;
     }
 
     /// Inserts a line (after a miss), evicting the LRU way if necessary.
     /// Returns the victim, if one was displaced.
     pub fn insert(&mut self, line: u64, state: LineState) -> Option<Evicted> {
         debug_assert!(state != LineState::Invalid, "cannot insert invalid line");
-        let set = self.set_of(line);
+        let base = self.set_base(line);
         // Prefer an invalid way, else the least recently used.
-        let mut victim_way = 0;
+        let mut victim = base;
         let mut victim_stamp = u64::MAX;
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.states[s] == LineState::Invalid {
-                victim_way = way;
+        for s in base..base + self.ways {
+            if self.states[s] == INVALID {
+                victim = s;
                 break;
             }
             if self.stamps[s] < victim_stamp {
                 victim_stamp = self.stamps[s];
-                victim_way = way;
+                victim = s;
             }
         }
-        let s = self.slot(set, victim_way);
-        let evicted = if self.states[s] != LineState::Invalid {
-            Some(Evicted {
-                line: self.tags[s],
-                state: self.states[s],
-            })
-        } else {
-            None
-        };
+        let evicted = (self.states[victim] != INVALID).then(|| Evicted {
+            line: self.tags[victim],
+            state: LineState::from_bits(self.states[victim]),
+        });
         self.tick += 1;
-        self.tags[s] = line;
-        self.states[s] = state;
-        self.stamps[s] = self.tick;
+        self.tags[victim] = line;
+        self.states[victim] = state as u8;
+        self.stamps[victim] = self.tick;
         evicted
     }
 
     /// Invalidates a line (directory-initiated), returning its prior state
     /// if it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                let prior = self.states[s];
-                self.states[s] = LineState::Invalid;
-                return Some(prior);
-            }
-        }
-        None
+        let s = self.find(line)?;
+        let prior = LineState::from_bits(self.states[s]);
+        self.states[s] = INVALID;
+        Some(prior)
     }
 
     /// Downgrades an M/E line to Shared (directory-initiated on a remote
     /// read). Returns true if the line was dirty (needed a writeback).
     pub fn downgrade_to_shared(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                let dirty = self.states[s] == LineState::Modified;
-                self.states[s] = LineState::Shared;
-                return dirty;
-            }
-        }
-        false
+        let Some(s) = self.find(line) else {
+            return false;
+        };
+        let dirty = self.states[s] == LineState::Modified as u8;
+        self.states[s] = LineState::Shared as u8;
+        dirty
     }
 
     /// Number of resident lines (diagnostics).
     pub fn resident_lines(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s != LineState::Invalid)
-            .count()
+        self.states.iter().filter(|&&s| s != INVALID).count()
     }
 
-    /// Lists all resident lines with their states (used to flush a core's
-    /// L1 when it is powered down).
+    /// Lists all resident lines with their states, set by set (used to
+    /// flush a core's L1 when it is powered down).
     pub fn resident_line_list(&self) -> Vec<(u64, LineState)> {
-        let mut out = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..self.ways {
-                let s = self.slot(set, way);
-                if self.states[s] != LineState::Invalid {
-                    out.push((self.tags[s], self.states[s]));
-                }
-            }
-        }
-        out
+        self.tags
+            .iter()
+            .zip(&self.states)
+            .filter(|&(_, &st)| st != INVALID)
+            .map(|(&line, &st)| (line, LineState::from_bits(st)))
+            .collect()
     }
 }
 

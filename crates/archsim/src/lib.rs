@@ -30,6 +30,7 @@
 //! println!("energy: {:.3} mJ", machine.stats().dynamic_energy_j * 1e3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -52,6 +52,29 @@ struct Thread {
     done_pending: bool,
 }
 
+/// What a finished thread keeps in place of its kernel: zero-sized, so
+/// a finished slot holds no heap memory.
+struct Finished;
+
+impl Kernel for Finished {
+    fn step(&mut self, _tid: ThreadId, _inbox: &mut Inbox, _out: &mut Vec<Op>) -> KernelStatus {
+        KernelStatus::Done
+    }
+}
+
+impl Thread {
+    /// Marks the thread `Done` and drops its kernel (and with it the
+    /// kernel's references to shared input data) and its op buffer. The
+    /// slot, and so every thread id, stays where it is.
+    fn retire(&mut self) {
+        self.state = ThreadState::Done;
+        self.kernel = Box::new(Finished);
+        self.buf = Vec::new();
+        self.cursor = 0;
+        self.done_pending = false;
+    }
+}
+
 impl std::fmt::Debug for Thread {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Thread")
@@ -119,13 +142,13 @@ impl MemSystem {
                     stats.upgrades += 1;
                     latency += self.llc_hit_ps;
                     energy += self.energy.llc_access_j;
-                    let dir = self
+                    let mut dir = self
                         .llc
                         .lookup_mut(line)
                         .expect("inclusive LLC must hold L1-resident line");
-                    let sharers = dir.sharers & !bit;
-                    dir.sharers = bit;
-                    dir.owner = Some(core as u8);
+                    let sharers = dir.sharers() & !bit;
+                    dir.set_sharers(bit);
+                    dir.set_owner(Some(core as u8));
                     if sharers != 0 {
                         latency += self.remote_penalty_ps;
                     }
@@ -142,13 +165,13 @@ impl MemSystem {
                 latency += self.llc_hit_ps;
                 energy += self.energy.llc_access_j;
                 let insert_state;
-                if let Some(dir) = self.llc.lookup_mut(line) {
+                if let Some(mut dir) = self.llc.lookup_mut(line) {
                     stats.llc_hits += 1;
-                    let owner = dir.owner.map(|o| o as usize);
+                    let owner = dir.owner().map(|o| o as usize);
                     if is_store {
-                        let sharers = dir.sharers & !bit;
-                        dir.sharers = bit;
-                        dir.owner = Some(core as u8);
+                        let sharers = dir.sharers() & !bit;
+                        dir.set_sharers(bit);
+                        dir.set_owner(Some(core as u8));
                         if sharers != 0 || owner.is_some_and(|o| o != core) {
                             latency += self.remote_penalty_ps;
                         }
@@ -169,18 +192,18 @@ impl MemSystem {
                         if let Some(o) = owner.filter(|&o| o != core) {
                             latency += self.remote_penalty_ps;
                             if self.l1s[o].downgrade_to_shared(line) {
-                                dir.dirty = true;
+                                dir.mark_dirty();
                                 stats.owner_interventions += 1;
                             }
-                            dir.owner = None;
-                            dir.sharers |= bit;
+                            dir.set_owner(None);
+                            dir.set_sharers(dir.sharers() | bit);
                             insert_state = LineState::Shared;
-                        } else if dir.sharers == 0 {
-                            dir.sharers = bit;
-                            dir.owner = Some(core as u8);
+                        } else if dir.sharers() == 0 {
+                            dir.set_sharers(bit);
+                            dir.set_owner(Some(core as u8));
                             insert_state = LineState::Exclusive;
                         } else {
-                            dir.sharers |= bit;
+                            dir.set_sharers(dir.sharers() | bit);
                             insert_state = LineState::Shared;
                         }
                     }
@@ -219,14 +242,8 @@ impl MemSystem {
                 }
                 // Install in L1; handle the displaced victim.
                 if let Some(ev) = self.l1s[core].insert(line, insert_state) {
-                    if let Some(dir) = self.llc.lookup_mut(ev.line) {
-                        dir.sharers &= !bit;
-                        if dir.owner == Some(core as u8) {
-                            dir.owner = None;
-                        }
-                        if ev.state == LineState::Modified {
-                            dir.dirty = true;
-                        }
+                    if let Some(mut dir) = self.llc.lookup_mut(ev.line) {
+                        dir.release(core, ev.state == LineState::Modified);
                     } else if ev.state == LineState::Modified {
                         // Victim no longer in LLC (race with inclusive
                         // eviction); write it back to memory directly.
@@ -244,25 +261,11 @@ impl MemSystem {
     /// Flushes a core's L1 (used when powering a core down), writing back
     /// dirty lines and updating the directory.
     fn flush_l1(&mut self, core: usize, now_ps: u64) {
-        let bit = 1u64 << core;
         // Collect resident lines first (cannot iterate and mutate).
-        let lines: Vec<(u64, LineState)> = {
-            let l1 = &self.l1s[core];
-            // Probe every possible slot via a full state walk: the cache
-            // exposes no iterator, so reconstruct from invalidate calls by
-            // walking all lines it reports resident.
-            l1.resident_line_list()
-        };
-        for (line, state) in lines {
+        for (line, state) in self.l1s[core].resident_line_list() {
             self.l1s[core].invalidate(line);
-            if let Some(dir) = self.llc.lookup_mut(line) {
-                dir.sharers &= !bit;
-                if dir.owner == Some(core as u8) {
-                    dir.owner = None;
-                }
-                if state == LineState::Modified {
-                    dir.dirty = true;
-                }
+            if let Some(mut dir) = self.llc.lookup_mut(line) {
+                dir.release(core, state == LineState::Modified);
             } else if state == LineState::Modified {
                 self.memctl.writeback(line, now_ps);
             }
@@ -799,21 +802,19 @@ impl Machine {
     /// run to completion.
     ///
     /// Killed threads stop retiring instructions the moment this returns:
-    /// their op buffers are dropped, every core's run queue is cleared,
-    /// and the barrier and lock state is reset (a killed holder cannot
-    /// release, and no live thread remains to wait). Caches, memory-system
-    /// state, accumulated stats and machine time are left untouched — the
-    /// work already executed stays on the books, exactly as a crashed
-    /// node's does. After cancellation [`all_done`](Self::all_done) is
-    /// true and the machine accepts fresh [`spawn`](Self::spawn)s.
+    /// their kernels and op buffers are dropped, every core's run queue is
+    /// cleared, and the barrier and lock state is reset (a killed holder
+    /// cannot release, and no live thread remains to wait). Caches,
+    /// memory-system state, accumulated stats and machine time are left
+    /// untouched — the work already executed stays on the books, exactly
+    /// as a crashed node's does. After cancellation
+    /// [`all_done`](Self::all_done) is true and the machine accepts fresh
+    /// [`spawn`](Self::spawn)s.
     pub fn cancel_all(&mut self) -> usize {
         let mut killed = 0;
         for th in &mut self.threads {
             if th.state != ThreadState::Done {
-                th.state = ThreadState::Done;
-                th.buf.clear();
-                th.cursor = 0;
-                th.done_pending = false;
+                th.retire();
                 killed += 1;
             }
         }
@@ -829,7 +830,7 @@ impl Machine {
 
     fn finish_thread(&mut self, t: usize) {
         debug_assert_ne!(self.threads[t].state, ThreadState::Done);
-        self.threads[t].state = ThreadState::Done;
+        self.threads[t].retire();
         self.live_threads -= 1;
         if let Some(released) = self.barrier.recheck(self.live_threads) {
             self.stats.barrier_episodes += 1;
@@ -1138,6 +1139,41 @@ mod tests {
             m.run_window(1_000_000);
         }
         assert_eq!(m.stats().barrier_episodes, episodes + 1);
+    }
+
+    #[test]
+    fn finished_and_cancelled_threads_drop_their_kernels() {
+        let input = std::sync::Arc::new(vec![0u8; 4096]);
+        let kernel = |steps: usize| {
+            let held = input.clone();
+            let mut done = 0;
+            Box::new(FnKernel(move |_t, _i: &mut Inbox, out: &mut Vec<Op>| {
+                out.push(Op::Compute {
+                    class: OpClass::IntAlu,
+                    count: held.len() as u32,
+                });
+                done += 1;
+                if done >= steps {
+                    KernelStatus::Done
+                } else {
+                    KernelStatus::Running
+                }
+            }))
+        };
+        let mut m = small_machine(2);
+        m.spawn(kernel(3));
+        assert_eq!(std::sync::Arc::strong_count(&input), 2);
+        m.run_to_completion(1_000_000, 1_000);
+        assert!(m.all_done());
+        assert_eq!(std::sync::Arc::strong_count(&input), 1, "finished");
+        m.spawn(kernel(usize::MAX));
+        m.spawn(kernel(usize::MAX));
+        m.run_window(1_000_000);
+        assert_eq!(std::sync::Arc::strong_count(&input), 3);
+        assert_eq!(m.cancel_all(), 2);
+        assert_eq!(std::sync::Arc::strong_count(&input), 1, "cancelled");
+        // Slots stay: thread ids are never reused.
+        assert!(format!("{m:?}").contains("threads: 3"), "{m:?}");
     }
 
     #[test]

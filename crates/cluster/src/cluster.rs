@@ -49,7 +49,7 @@ use sprint_core::session::{RunReport, SprintSession, StepOutcome};
 use sprint_core::supply::{IdealSupply, PowerSupply};
 use sprint_core::thermal_model::ThermalModel;
 use sprint_thermal::grid::GridThermalParams;
-use sprint_workloads::suite::suite_loader;
+use sprint_workloads::suite::{build_workload, InputSize, Workload, WorkloadKind};
 
 use crate::policy::{ClusterPolicy, PowerPolicy};
 use crate::queue::{ClusterTask, TaskOutcome};
@@ -879,6 +879,7 @@ impl ClusterBuilder {
             failsafe_preemptions: 0,
             requeue_count: 0,
             migrated_count: 0,
+            workloads: Vec::new(),
         })
     }
 }
@@ -962,6 +963,11 @@ pub struct ClusterSession {
     failsafe_preemptions: usize,
     requeue_count: usize,
     migrated_count: usize,
+    /// Workloads built so far, one per (kind, size) — at most 24. Every
+    /// task of a class sets up kernels from the same build (see
+    /// [`Workload::setup`]), so inputs are generated once per rack and
+    /// shared by every kernel that reads them.
+    workloads: Vec<(WorkloadKind, InputSize, Box<dyn Workload>)>,
 }
 
 impl std::fmt::Debug for ClusterSession {
@@ -1722,9 +1728,20 @@ impl ClusterSession {
         } else {
             self.sustained_config.clone()
         };
+        let cached = self
+            .workloads
+            .iter()
+            .position(|&(kind, size, _)| (kind, size) == (spec.kind, spec.size));
+        let built = cached.unwrap_or_else(|| {
+            let workload = build_workload(spec.kind, spec.size);
+            self.workloads.push((spec.kind, spec.size, workload));
+            self.workloads.len() - 1
+        });
         let n = &mut self.nodes[node];
         n.session.set_config(config);
-        suite_loader(spec.kind, spec.size, spec.threads)(n.session.machine_mut());
+        self.workloads[built]
+            .2
+            .setup(n.session.machine_mut(), spec.threads);
         n.session.begin_burst();
         n.task = Some(task);
         n.assigned_s = now;

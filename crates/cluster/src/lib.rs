@@ -175,6 +175,7 @@
 //! assert!(report.makespan_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

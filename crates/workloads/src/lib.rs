@@ -31,6 +31,7 @@
 //! println!("done in {:.3} ms", machine.time_s() * 1e3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

@@ -39,7 +39,6 @@ struct SobelData {
     img: Arc<GrayImage>,
     input: Region,
     output: Region,
-    threads_hint: std::sync::atomic::AtomicUsize,
 }
 
 /// The sobel workload: image + simulated placement.
@@ -78,12 +77,7 @@ impl SobelWorkload {
         let input = mem.alloc_bytes((width * height) as u64);
         let output = mem.alloc_bytes((width * height) as u64);
         Self {
-            data: Arc::new(SobelData {
-                img,
-                input,
-                output,
-                threads_hint: std::sync::atomic::AtomicUsize::new(1),
-            }),
+            data: Arc::new(SobelData { img, input, output }),
             checksum,
         }
     }
@@ -105,9 +99,6 @@ impl Workload for SobelWorkload {
     }
 
     fn setup(&self, machine: &mut Machine, threads: usize) {
-        self.data
-            .threads_hint
-            .store(threads, std::sync::atomic::Ordering::Relaxed);
         for t in 0..threads {
             machine.spawn(Box::new(SobelKernel::new(self.data.clone(), t, threads)));
         }

@@ -16,6 +16,12 @@ pub trait Workload: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Spawns `threads` kernel threads (and any task queues) on `machine`.
+    ///
+    /// May be called any number of times, on any machines, and must leave
+    /// `self` unchanged: every call spawns the same kernels over the same
+    /// shared, immutable inputs. A cluster builds each (kind, size) once
+    /// per rack and sets it up for every task of that class, so a run is
+    /// byte-identical to one that builds a fresh workload per task.
     fn setup(&self, machine: &mut Machine, threads: usize);
 
     /// Approximate serial work in abstract units (for reporting only).
