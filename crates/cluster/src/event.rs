@@ -23,7 +23,10 @@
 //!   grid and supply pool — executes every window. What the event core
 //!   elides is everything *around* the physics: per-node rest calls,
 //!   the per-window temperature snapshot, and the scheduler passes on
-//!   windows where they are provably no-ops.
+//!   windows where they are provably no-ops. The leader's advance costs
+//!   O(grid cells), not O(nodes): the grid makes one die pass per
+//!   advance (its junction, gradient and per-cell peak caches), and
+//!   per-core readings fold cached cells on demand.
 //! * **Idle nodes sleep.** A node with no task and no pending tick
 //!   costs nothing per window. Its per-window `rest` effects on the
 //!   *shared* state are already in place (core power zero, recorded
@@ -41,6 +44,16 @@
 //!   the grant rotation, or a ramping/sprinting node exists — exactly
 //!   the conditions under which the lockstep passes can observe or
 //!   mutate anything.
+//!
+//! # What a window costs
+//!
+//! A quiet window (no fault, arrival or armed scheduler) runs only the
+//! settlement leader — an O(grid cells) advance — plus the busy and
+//! due nodes. Two costs remain O(fleet): the scheduler's per-node
+//! temperature snapshot on armed windows (one cached-cell fold per
+//! node), and `catch_up_all`'s replay of the sleeping nodes before any
+//! assignment, which costs O(nodes x windows slept) because each
+//! sleeping node's rest is replayed window by window for bit-exactness.
 //!
 //! # The lockstep path is the golden oracle
 //!
@@ -99,7 +112,8 @@ pub struct EventDrivenCluster {
     /// between windows: a task appears only via `assign_ready` (after
     /// which the list is rebuilt) and vanishes only inside the owning
     /// node's own `run_node_window` (observed where it runs). This is
-    /// what lets a quiet window cost O(active) instead of O(fleet).
+    /// what lets a quiet window run only the leader (O(grid cells))
+    /// plus the busy and due nodes, instead of scanning the fleet.
     busy: Vec<u32>,
     /// Push-order fuzz seed: when set, each window's new ticks are
     /// inserted into the heap in a seeded-random order. Tick keys are

@@ -3,7 +3,7 @@
 //! Where [`crate::phone`] lumps the whole package into a handful of RC
 //! nodes, [`GridThermal`] discretizes each package layer (die, PCM,
 //! spreader, ...) into an `nx x ny` cell grid. Per-core power from a
-//! [`Floorplan`](crate::floorplan::Floorplan) is injected into the die
+//! [`Floorplan`] is injected into the die
 //! cells it overlaps, conducts laterally within layers and vertically
 //! between them, and finally convects from the last layer to the
 //! ambient. The payoff is *where* heat accumulates: active cores form
@@ -643,8 +643,19 @@ pub struct GridThermal {
     /// junction/headroom/limit queries of the sprint controller from
     /// O(cells) scans into loads.
     junction_cache_c: f64,
-    /// Peak temperature seen per core (max over its cells), Celsius.
-    peak_core_temps_c: Vec<f64>,
+    /// Die-layer cell temperatures after the last `advance` (or reset),
+    /// Celsius. Like the junction cache it is always current, so
+    /// per-core, gradient and mean queries fold cached cells instead of
+    /// re-deriving temperatures from enthalpy.
+    die_temps_c: Vec<f64>,
+    /// Peak temperature seen per die cell since the last reset, Celsius.
+    /// Per-core peaks fold these on read: max commutes with max, so the
+    /// result equals a running per-core peak while each advance stays
+    /// O(cells) however many cores share them.
+    peak_die_temps_c: Vec<f64>,
+    /// Ambient at the last reset, Celsius: the floor every peak starts
+    /// from (`set_ambient_c` may move the ambient since).
+    peak_floor_c: f64,
     scratch_temps: Vec<f64>,
     scratch_flows: Vec<f64>,
     /// ADI scratch: per-cell effective capacity for the current
@@ -862,7 +873,9 @@ impl GridThermal {
             boundary_absorbed_j: 0.0,
             peak_hotspot_gradient_k: 0.0,
             junction_cache_c: ambient,
-            peak_core_temps_c: vec![ambient; cores],
+            die_temps_c: vec![ambient; cells],
+            peak_die_temps_c: vec![ambient; cells],
+            peak_floor_c: ambient,
             scratch_temps: vec![0.0; n],
             scratch_flows: vec![0.0; n],
             adi_ceff: vec![0.0; n],
@@ -1071,19 +1084,13 @@ impl GridThermal {
     /// Mean die-layer temperature, Celsius — what a lumped model would
     /// report.
     pub fn mean_die_temp_c(&self) -> f64 {
-        let sum: f64 = (0..self.cells_per_layer).map(|i| self.cell_temp(i)).sum();
+        let sum: f64 = self.die_temps_c.iter().sum();
         sum / self.cells_per_layer as f64
     }
 
     /// Spread between the hottest and coolest die cell right now, Kelvin.
     pub fn hotspot_gradient_k(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..self.cells_per_layer {
-            let t = self.cell_temp(i);
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
+        let (lo, hi) = min_max(&self.die_temps_c);
         hi - lo
     }
 
@@ -1100,7 +1107,7 @@ impl GridThermal {
     pub fn core_temp_c(&self, core: usize) -> f64 {
         self.core_cells[core]
             .iter()
-            .map(|&(cell, _)| self.cell_temp(cell))
+            .map(|&(cell, _)| self.die_temps_c[cell])
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
@@ -1130,9 +1137,20 @@ impl GridThermal {
         }
     }
 
-    /// Peak per-core hotspot temperatures over the whole run, Celsius.
-    pub fn peak_core_temps_c(&self) -> &[f64] {
-        &self.peak_core_temps_c
+    /// Peak per-core hotspot temperatures since the last reset, Celsius:
+    /// the hottest any cell under each core's footprint has been after an
+    /// `advance`, never below the ambient at that reset. Folded from the
+    /// per-cell peaks on each call (O(footprint cells)).
+    pub fn peak_core_temps_c(&self) -> Vec<f64> {
+        self.core_cells
+            .iter()
+            .map(|cells| {
+                cells
+                    .iter()
+                    .map(|&(cell, _)| self.peak_die_temps_c[cell])
+                    .fold(self.peak_floor_c, f64::max)
+            })
+            .collect()
     }
 
     /// Overall melt fraction: melted latent heat over total latent heat
@@ -1294,15 +1312,11 @@ impl GridThermal {
             self.enthalpy_j[i] = ambient * self.capacity_j_per_k[i];
         }
         self.peak_hotspot_gradient_k = 0.0;
-        for t in &mut self.peak_core_temps_c {
-            *t = ambient;
-        }
-        // The same fold the old on-demand query ran, so the cached
-        // junction is bit-identical to it (the round-trip through
-        // enthalpy can land an ulp off `ambient`).
-        self.junction_cache_c = (0..self.cells_per_layer)
-            .map(|i| self.cell_temp(i))
-            .fold(f64::NEG_INFINITY, f64::max);
+        self.peak_floor_c = ambient;
+        self.peak_die_temps_c.fill(ambient);
+        // The die cache holds the temperatures the enthalpy encodes, not
+        // `ambient` itself: the round-trip can land an ulp off it.
+        self.refresh_die_temps();
     }
 
     /// Advances the grid by `dt_s` seconds, sub-stepping to the active
@@ -2133,26 +2147,37 @@ impl GridThermal {
         }
     }
 
-    fn track_peaks(&mut self) {
-        // One die scan refreshes both the gradient tracker and the
-        // junction cache: `hi` is exactly the fold `junction_temp_c`
-        // used to recompute on demand.
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+    /// Refreshes the die-temperature and junction caches from the
+    /// enthalpy state; returns the coolest and hottest die cell.
+    fn refresh_die_temps(&mut self) -> (f64, f64) {
         for i in 0..self.cells_per_layer {
-            let t = self.cell_temp(i);
-            lo = lo.min(t);
-            hi = hi.max(t);
+            self.die_temps_c[i] = self.cell_temp(i);
         }
+        let (lo, hi) = min_max(&self.die_temps_c);
         self.junction_cache_c = hi;
+        (lo, hi)
+    }
+
+    /// The per-advance die bookkeeping: refresh the caches, then fold
+    /// every cell into its running peak and the gradient tracker.
+    /// O(die cells), whatever the core count.
+    fn track_peaks(&mut self) {
+        let (lo, hi) = self.refresh_die_temps();
         self.peak_hotspot_gradient_k = self.peak_hotspot_gradient_k.max(hi - lo);
-        for core in 0..self.core_cells.len() {
-            let t = self.core_temp_c(core);
-            if t > self.peak_core_temps_c[core] {
-                self.peak_core_temps_c[core] = t;
-            }
+        for (peak, &t) in self.peak_die_temps_c.iter_mut().zip(&self.die_temps_c) {
+            *peak = peak.max(t);
         }
     }
+}
+
+/// Smallest and largest value of `temps`, folded in index order
+/// (`(INFINITY, NEG_INFINITY)` when empty).
+fn min_max(temps: &[f64]) -> (f64, f64) {
+    temps
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
+            (lo.min(t), hi.max(t))
+        })
 }
 
 /// Piecewise temperature-of-enthalpy (the enthalpy method), matching
@@ -2401,6 +2426,191 @@ mod tests {
         assert_eq!(alloc, buf);
     }
 
+    /// The per-core algorithm the die caches replaced, kept as their
+    /// oracle: every query re-derives cell temperatures from enthalpy,
+    /// and every advance folds each core's footprint into a running
+    /// per-core peak.
+    struct PerCoreReference {
+        peak_core_temps_c: Vec<f64>,
+        peak_hotspot_gradient_k: f64,
+    }
+
+    impl PerCoreReference {
+        fn new(g: &GridThermal) -> Self {
+            Self {
+                peak_core_temps_c: vec![g.ambient_c(); g.core_cells.len()],
+                peak_hotspot_gradient_k: 0.0,
+            }
+        }
+
+        fn reset(&mut self, g: &GridThermal) {
+            *self = Self::new(g);
+        }
+
+        fn core_temp_c(g: &GridThermal, core: usize) -> f64 {
+            g.core_cells[core]
+                .iter()
+                .map(|&(cell, _)| g.cell_temp(cell))
+                .fold(f64::NEG_INFINITY, f64::max)
+        }
+
+        fn die_lo_hi(g: &GridThermal) -> (f64, f64) {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for i in 0..g.cells_per_layer {
+                let t = g.cell_temp(i);
+                lo = lo.min(t);
+                hi = hi.max(t);
+            }
+            (lo, hi)
+        }
+
+        fn region_sprint_budget_j(g: &GridThermal, core: usize) -> f64 {
+            let mut budget = 0.0;
+            for li in 0..g.params.layers.len() {
+                let base = li * g.cells_per_layer;
+                for &(cell, _) in &g.core_cells[core] {
+                    let i = base + cell;
+                    if li > 0 && g.phase[i].is_none() {
+                        continue;
+                    }
+                    budget += g.cell_sprint_budget_j(i);
+                }
+            }
+            budget
+        }
+
+        /// The per-advance bookkeeping: gradient peak, then every core.
+        fn track(&mut self, g: &GridThermal) {
+            let (lo, hi) = Self::die_lo_hi(g);
+            self.peak_hotspot_gradient_k = self.peak_hotspot_gradient_k.max(hi - lo);
+            for core in 0..g.core_cells.len() {
+                let t = Self::core_temp_c(g, core);
+                if t > self.peak_core_temps_c[core] {
+                    self.peak_core_temps_c[core] = t;
+                }
+            }
+        }
+
+        fn assert_matches(&self, g: &GridThermal, when: &str) {
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            let cores = g.core_cells.len();
+            let core_temps: Vec<f64> = (0..cores).map(|c| Self::core_temp_c(g, c)).collect();
+            assert_eq!(
+                bits(&g.core_temps_c()),
+                bits(&core_temps),
+                "{when}: core temps"
+            );
+            assert_eq!(
+                bits(&g.peak_core_temps_c()),
+                bits(&self.peak_core_temps_c),
+                "{when}: peak core temps"
+            );
+            let (lo, hi) = Self::die_lo_hi(g);
+            assert_eq!(
+                g.junction_temp_c().to_bits(),
+                hi.to_bits(),
+                "{when}: junction"
+            );
+            assert_eq!(
+                g.hotspot_gradient_k().to_bits(),
+                (hi - lo).to_bits(),
+                "{when}: gradient"
+            );
+            assert_eq!(
+                g.peak_hotspot_gradient_k().to_bits(),
+                self.peak_hotspot_gradient_k.to_bits(),
+                "{when}: peak gradient"
+            );
+            let sum: f64 = (0..g.cells_per_layer).map(|i| g.cell_temp(i)).sum();
+            assert_eq!(
+                g.mean_die_temp_c().to_bits(),
+                (sum / g.cells_per_layer as f64).to_bits(),
+                "{when}: mean die temp"
+            );
+            for c in 0..cores {
+                assert_eq!(
+                    g.region_sprint_budget_j(c).to_bits(),
+                    Self::region_sprint_budget_j(g, c).to_bits(),
+                    "{when}: region budget of core {c}"
+                );
+            }
+        }
+    }
+
+    /// Drives `g` through a per-core power schedule with a mid-run
+    /// ambient change, a reset, and a second ambient change below the
+    /// reset's (so peaks must keep the reset floor), checking the die
+    /// caches against [`PerCoreReference`] after every advance. Returns
+    /// the largest melt fraction seen.
+    fn drive_against_per_core_reference(mut g: GridThermal, max_core_w: f64) -> f64 {
+        let mut reference = PerCoreReference::new(&g);
+        reference.assert_matches(&g, "fresh");
+        let cores = g.core_cells.len();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut melt = 0.0f64;
+        for window in 0..40 {
+            match window {
+                10 => g.set_ambient_c(30.0),
+                20 => {
+                    g.reset_to_ambient();
+                    reference.reset(&g);
+                    reference.assert_matches(&g, "after reset");
+                }
+                25 => g.set_ambient_c(27.0),
+                _ => {}
+            }
+            // Heat hard before the reset, then mostly rest after it.
+            let duty = if window < 20 { 0.8 } else { 0.3 };
+            for core in 0..cores {
+                let u = next();
+                let w = if u < duty {
+                    max_core_w * (0.5 + 0.5 * u)
+                } else {
+                    0.0
+                };
+                g.set_core_power_w(core, w);
+            }
+            let dt = if window % 7 == 0 { 0.0 } else { 0.05 };
+            g.advance(dt);
+            reference.track(&g);
+            reference.assert_matches(&g, &format!("window {window}"));
+            melt = melt.max(g.melt_fraction());
+        }
+        melt
+    }
+
+    #[test]
+    fn die_caches_match_the_per_core_reference_bit_for_bit() {
+        // Many cores per cell: 1024 nodes on an 8x8 die.
+        let shared = GridThermalParams::rack(32, 32).with_grid(8, 8).build();
+        drive_against_per_core_reference(shared, 20.0);
+        // Many cells per core: 4 nodes on a 32x32 die.
+        let spanning = GridThermalParams::rack(2, 2).with_grid(32, 32).build();
+        drive_against_per_core_reference(spanning, 20.0);
+        // Phase change: the PCM plateau and melt must not disturb the
+        // caches either.
+        let melt = drive_against_per_core_reference(GridThermalParams::hpca_like().build(), 1.6);
+        assert!(melt > 0.0, "the hpca schedule must reach the melt");
+        // A sliver core that rasterizes onto no cell: its peak is the
+        // reset ambient, its live reading the empty fold.
+        let sliver = GridThermalParams::rack(2, 1)
+            .with_floorplan(
+                Floorplan::new(1.0, 1.0)
+                    .with_core("wide", 0.1, 0.1, 0.8, 0.3)
+                    .with_core("sliver", 0.5, 0.5, 1e-20, 1e-20),
+            )
+            .build();
+        assert!(sliver.core_cells[1].is_empty());
+        drive_against_per_core_reference(sliver, 20.0);
+    }
+
     #[test]
     fn rack_preset_steady_states_bracket_the_limit() {
         // All-sustained idles far below the limit; the whole rack
@@ -2566,9 +2776,9 @@ mod tests {
             general.peak_hotspot_gradient_k.to_bits()
         );
         for (a, b) in fast
-            .peak_core_temps_c
+            .peak_core_temps_c()
             .iter()
-            .zip(&general.peak_core_temps_c)
+            .zip(&general.peak_core_temps_c())
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -2628,7 +2838,7 @@ mod tests {
             advance_general_reference(&mut reference, dt);
         }
         assert!(
-            batched.peak_core_temps_c.iter().any(|&t| t > 59.0),
+            batched.peak_core_temps_c().iter().any(|&t| t > 59.0),
             "the schedule must actually reach the melt region"
         );
         for i in 0..batched.enthalpy_j.len() {
